@@ -41,15 +41,17 @@ jobs-smoke: build
 	  echo "jobs-smoke: $$sub deterministic across --jobs 1/2"; \
 	done
 
-# The campaign resume contract, end to end: a tiny threshold campaign run
-# to completion must produce a byte-identical merged CSV to the same
-# campaign halted mid-run (--halt-after, the deterministic stand-in for a
-# kill) and finished under --resume against its ledger.
-COLLECT_FLAGS = threshold --seed 7 --max-shots 2048 --rel-ci 0.3 --min-shots 256 --batch 256
+# The campaign resume contract, end to end: the tiny `all` campaign
+# (threshold, uec and distill tasks) run to completion must produce a
+# byte-identical merged CSV to the same campaign halted mid-run
+# (--halt-after, the deterministic stand-in for a kill; 20 of its 42
+# batches, so every task has ledger records to replay) and finished under
+# --resume against its ledger.
+COLLECT_FLAGS = all --seed 7 --max-shots 2048 --rel-ci 0.3 --min-shots 256 --batch 256
 collect-smoke: build
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
 	$(DUNE) exec bin/main.exe -- collect $(COLLECT_FLAGS) --csv $$d/ref.csv > /dev/null && \
-	$(DUNE) exec bin/main.exe -- collect $(COLLECT_FLAGS) --ledger $$d/collect.jsonl --halt-after 3 > /dev/null && \
+	$(DUNE) exec bin/main.exe -- collect $(COLLECT_FLAGS) --ledger $$d/collect.jsonl --halt-after 20 > /dev/null && \
 	$(DUNE) exec bin/main.exe -- collect $(COLLECT_FLAGS) --ledger $$d/collect.jsonl --resume --csv $$d/resumed.csv > /dev/null && \
 	{ diff -u $$d/ref.csv $$d/resumed.csv \
 	  || { echo "collect-smoke: resumed CSV differs from uninterrupted run"; exit 1; }; } && \

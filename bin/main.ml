@@ -342,9 +342,9 @@ let run_ablations shots seed =
   let exp = Surface_circuit.build (Surface_circuit.default ~distance:5) in
   let dem = Dem.of_circuit exp.Surface_circuit.circuit in
   let matcher =
-    Decoder_match.of_dem
+    Decoder_match.create
       ~nodes:(Array.length exp.Surface_circuit.circuit.Circuit.detectors)
-      dem
+      ~edges:(Dem_graph.edges dem)
   in
   let uf_rate =
     Surface_circuit.logical_error_rate exp (Rng.create seed) ~shots
@@ -579,42 +579,16 @@ let run_hierarchy () =
 
 (* -------------------------------------------------------------- collect *)
 
-(* Campaign definitions: each is a list of Collect tasks over the paper's
-   experiment code.  Kept small enough for CI yet large enough that adaptive
-   stopping visibly saves shots (the cheap low-distance points hit --rel-ci
-   early; the rare-event d=7 points run to --max-shots). *)
-let rec campaign_tasks = function
-  | "threshold" ->
-      (* d = 3/5/7 surface-code memory at two data coherences. *)
-      List.concat_map
-        (fun t_data ->
-          List.map
-            (fun d ->
-              Surface_circuit.collect_task
-                { (Surface_circuit.default ~distance:d) with t_data })
-            [ 3; 5; 7 ])
-        [ 1e-4; 5e-4 ]
-  | "uec" ->
-      (* Het (Ts = 50 ms) vs hom for the three small paper codes. *)
-      List.concat_map
-        (fun code ->
-          [ Uec.collect_task (Uec.Het { ts = 50e-3 }) code ~rounds:3;
-            Uec.collect_task Uec.Hom code ~rounds:3 ])
-        [ Codes.shor; Codes.steane; Codes.color_17 ]
-  | "distill" ->
-      (* Probability of delivering no target-fidelity pair in 100 us. *)
-      [ Distill_module.collect_task
-          (Distill_module.heterogeneous ~rate_hz:1e6 ())
-          ~horizon:100e-6 ~min_delivered:1;
-        Distill_module.collect_task
-          (Distill_module.homogeneous ~rate_hz:1e6 ())
-          ~horizon:100e-6 ~min_delivered:1 ]
-  | "all" -> List.concat_map campaign_tasks [ "threshold"; "uec"; "distill" ]
-  | other ->
+(* Campaigns are grids of serve request fields (Serve.campaign), so each
+   task is exactly the one the daemon answers for the same request. *)
+let tasks_of_campaign campaign =
+  match Serve.campaign campaign with
+  | tasks -> tasks
+  | exception Not_found ->
       Printf.eprintf
         "hetarch collect: unknown campaign %S (expected threshold, uec, \
          distill or all)\n"
-        other;
+        campaign;
       exit 2
 
 (* Coordinator mode: `collect --shards N` with no explicit --shard forks N
@@ -624,7 +598,7 @@ let rec campaign_tasks = function
    shard runs parented under this process.  Per-path output flags
    (--ledger/--csv/--trace/...) are suffixed ".shard<i>" per child. *)
 let run_collect_coordinator campaign shards =
-  let all_tasks = campaign_tasks campaign in
+  let all_tasks = tasks_of_campaign campaign in
   if Obs.Run.shard () = "" then
     Obs.Run.set_shard (Printf.sprintf "coord/%d" shards);
   let ctx = Obs.Context.current () in
@@ -656,7 +630,7 @@ let run_collect campaign seed shards shard_opt ledger resume progress max_shots
   if shards > 1 && shard_opt = None then run_collect_coordinator campaign shards
   else begin
   let shard = Option.value ~default:0 shard_opt in
-  let all_tasks = campaign_tasks campaign in
+  let all_tasks = tasks_of_campaign campaign in
   let tasks =
     if shards = 1 && shard = 0 then all_tasks
     else begin

@@ -11,7 +11,7 @@
     - {!Characterize}: density-matrix cell characterization (channels).
     - {!Code} / {!Codes} / {!Decoder_lookup} / {!Decoder_uf} / {!Threshold}:
       QEC codes and decoders.
-    - {!Surface_circuit} / {!Frame} / {!Tableau} / {!Dem}: circuit-level
+    - {!Surface_circuit} / {!Frame} / {!Dem}: circuit-level
       simulation (the Stim role).
     - {!Distill_module} / {!Bell_pair} / {!Ep_source}: §4.1.
     - {!Uec}: §4.2.2.  {!Teleport}: §4.3.

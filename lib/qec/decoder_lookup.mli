@@ -8,9 +8,13 @@
 
 type t
 
+val max_qubits : int
+(** Largest code (30 data qubits) the bitmask tables can hold. *)
+
 val create : Code.t -> t
 (** Build both tables (X-error and Z-error decoding).  Cost grows with the
-    syndrome space (2^checks); fine for the paper's codes. *)
+    syndrome space (2^checks); fine for the paper's codes.  Raises
+    [Invalid_argument] for codes of more than {!max_qubits} qubits. *)
 
 val decode_x : t -> int array -> int list
 (** [decode_x t syndrome] maps a Z-stabilizer syndrome (bit per Z check, as

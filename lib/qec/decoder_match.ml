@@ -20,51 +20,6 @@ let create ~nodes ~edges =
     edges;
   { n = nodes; adj }
 
-let of_dem ?(scale = 2.0) ?(max_weight = 40) ~nodes mechanisms =
-  (* Reuse the DEM->graph conversion, then strip into our adjacency form by
-     regenerating the same edge list. *)
-  let table : (int * int, (float * bool * float) ref) Hashtbl.t = Hashtbl.create 256 in
-  let add u v p logical =
-    let key = if u <= v then (u, v) else (v, u) in
-    match Hashtbl.find_opt table key with
-    | Some r ->
-        let total, flag, best = !r in
-        let total = (total *. (1. -. p)) +. (p *. (1. -. total)) in
-        let flag, best = if p > best then (logical, p) else (flag, best) in
-        r := (total, flag, best)
-    | None -> Hashtbl.add table key (ref (p, logical, p))
-  in
-  List.iter
-    (fun (m : Dem.mechanism) ->
-      let logical = m.Dem.obs_mask <> 0 in
-      match m.Dem.detectors with
-      | [||] -> ()
-      | [| d |] -> add d Decoder_uf.boundary m.Dem.p logical
-      | [| a; b |] -> add a b m.Dem.p logical
-      | many ->
-          let k = Array.length many in
-          let i = ref 0 in
-          while !i + 1 < k do
-            add many.(!i) many.(!i + 1) m.Dem.p (logical && !i = 0);
-            i := !i + 2
-          done;
-          if k mod 2 = 1 then add many.(k - 1) Decoder_uf.boundary m.Dem.p false)
-    mechanisms;
-  let weight_of p =
-    if p <= 0. then max_weight
-    else if p >= 0.5 then 1
-    else max 1 (min max_weight (int_of_float (Float.round (scale *. log ((1. -. p) /. p)))))
-  in
-  let edges =
-    Hashtbl.fold
-      (fun (u, v) r acc ->
-        let p, logical, _ = !r in
-        let u, v = if u = Decoder_uf.boundary then (v, u) else (u, v) in
-        (u, v, weight_of p, logical) :: acc)
-      table []
-  in
-  create ~nodes ~edges
-
 (* Dijkstra from a source, returning distance and path logical parity to
    every vertex. *)
 let dijkstra t src =

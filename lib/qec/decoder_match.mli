@@ -10,11 +10,9 @@ type t
 
 val create : nodes:int -> edges:(int * int * int * bool) list -> t
 (** Same edge format as {!Decoder_uf.weighted_graph}: [(u, v, weight,
-    flips_logical)] with [v] possibly {!Decoder_uf.boundary}. *)
-
-val of_dem : ?scale:float -> ?max_weight:int -> nodes:int -> Dem.mechanism list -> t
-(** Build from a detector error model with the same conventions as
-    {!Dem_graph.build}. *)
+    flips_logical)] with [v] possibly {!Decoder_uf.boundary}.  Pass
+    {!Dem_graph.edges} to decode a detector error model over the same
+    graph as the union-find decoder. *)
 
 val decode : t -> Bitvec.t -> bool
 (** Predicted logical flip for the given defect pattern. *)

@@ -1,7 +1,7 @@
 let non_graphlike_count mechanisms =
   List.length (List.filter (fun m -> Array.length m.Dem.detectors > 2) mechanisms)
 
-let build ?(scale = 2.0) ?(max_weight = 40) ~nodes mechanisms =
+let edges ?(scale = 2.0) ?(max_weight = 40) mechanisms =
   (* Accumulate per-endpoint-pair: combined probability and the flag of the
      single likeliest contributing mechanism. *)
   let table : (int * int, (float * bool * float) ref) Hashtbl.t = Hashtbl.create 256 in
@@ -37,12 +37,12 @@ let build ?(scale = 2.0) ?(max_weight = 40) ~nodes mechanisms =
     else if p >= 0.5 then 1
     else max 1 (min max_weight (int_of_float (Float.round (scale *. log ((1. -. p) /. p)))))
   in
-  let edges =
-    Hashtbl.fold
-      (fun (u, v) r acc ->
-        let p, logical, _ = !r in
-        let u, v = if u = Decoder_uf.boundary then (v, u) else (u, v) in
-        (u, v, weight_of p, logical) :: acc)
-      table []
-  in
-  Decoder_uf.weighted_graph ~nodes ~edges
+  Hashtbl.fold
+    (fun (u, v) r acc ->
+      let p, logical, _ = !r in
+      let u, v = if u = Decoder_uf.boundary then (v, u) else (u, v) in
+      (u, v, weight_of p, logical) :: acc)
+    table []
+
+let build ?scale ?max_weight ~nodes mechanisms =
+  Decoder_uf.weighted_graph ~nodes ~edges:(edges ?scale ?max_weight mechanisms)

@@ -13,10 +13,18 @@
 let protocol_version = "hetarch.serve/1"
 let max_request_bytes = 65536
 
+(* What a query computes, built from its validated typed fields.  Thunks,
+   not values: parsing sits on the warm path, which must not pay for a
+   task description, its content hash, or a cell. *)
+type job =
+  | Sample of { task : unit -> Collect.Task.t; shots : int; seed : int }
+  | Characterize of (unit -> Cell.t * Characterize.op)
+
 type query = {
   kind : string;
   fields : (string * string) list;
   hash : string;
+  job : job;
 }
 
 type control = Ping | Stats | Shutdown
@@ -39,144 +47,186 @@ let request_hash ~kind ~fields =
          (List.sort (fun (a, _) (b, _) -> compare a b) fields))
 
 (* ------------------------------------------------------------------ *)
-(* Codec: parse + normalize.  Defaults are filled in, numbers rendered
-   canonically (ints as decimal, floats as %.17g — the same rendering
-   Obs.Json uses), and fields sorted by key, so spelling a default out,
+(* Field specs.  A field reads its JSON member (or its default),
+   validates it, and yields the typed value plus its canonical rendering
+   (ints as decimal, floats as %.17g — the same rendering Obs.Json uses —
+   booleans as true/false).  Fields combine applicatively with let+/and+,
+   so one declaration per kind gives the typed values, the identity
+   fields, and the list of allowed names; spelling a default out,
    reordering fields, or writing 5e-2 for 0.05 never changes identity. *)
 
-let canon_float f = Printf.sprintf "%.17g" f
-let canon_bool b = if b then "true" else "false"
+type members = (string * Obs.Json.t) list
 
-let int_field members name ~default ~lo ~hi =
-  match List.assoc_opt name members with
-  | None -> default
-  | Some v -> (
-      match Obs.Json.to_int v with
+(* [read members canon] returns the typed value and pushes the fields'
+   canonical renderings onto [canon]. *)
+type 'a spec = {
+  names : string list;
+  read : members -> (string * string) list ref -> 'a;
+}
+
+let ( let+ ) s f = { s with read = (fun members canon -> f (s.read members canon)) }
+
+let ( and+ ) a b =
+  { names = a.names @ b.names;
+    read =
+      (fun members canon ->
+        let va = a.read members canon in
+        (va, b.read members canon)) }
+
+let field name ~default ~canon parse =
+  { names = [ name ];
+    read =
+      (fun members acc ->
+        let v =
+          match List.assoc_opt name members with
+          | None -> default
+          | Some j -> parse j
+        in
+        acc := (name, canon v) :: !acc;
+        v) }
+
+let int name ~default ~lo ~hi =
+  field name ~default ~canon:string_of_int (fun j ->
+      match Obs.Json.to_int j with
       | i when i >= lo && i <= hi -> i
       | i -> bad 400 "%s: %d out of range [%d, %d]" name i lo hi
       | exception Failure _ -> bad 400 "%s: expected an integer" name)
 
-let float_field members name ~default ~lo ~hi =
-  match List.assoc_opt name members with
-  | None -> default
-  | Some v -> (
-      match Obs.Json.to_float v with
+let float name ~default ~lo ~hi =
+  field name ~default ~canon:(Printf.sprintf "%.17g") (fun j ->
+      match Obs.Json.to_float j with
       | f when Float.is_finite f && f >= lo && f <= hi -> f
       | f when Float.is_finite f -> bad 400 "%s: %g out of range [%g, %g]" name f lo hi
       | _ -> bad 400 "%s: expected a finite number" name
       | exception Failure _ -> bad 400 "%s: expected a number" name)
 
-let bool_field members name ~default =
-  match List.assoc_opt name members with
-  | None -> default
-  | Some (Obs.Json.Bool b) -> b
-  | Some _ -> bad 400 "%s: expected a boolean" name
+let bool name ~default =
+  field name ~default ~canon:(fun b -> if b then "true" else "false") (function
+    | Obs.Json.Bool b -> b
+    | _ -> bad 400 "%s: expected a boolean" name)
 
-let enum_field members name ~default ~values =
-  match List.assoc_opt name members with
-  | None -> default
-  | Some (Obs.Json.String s) when List.mem s values -> s
-  | Some (Obs.Json.String s) ->
-      bad 400 "%s: unknown value %S (want one of %s)" name s
-        (String.concat ", " values)
-  | Some _ -> bad 400 "%s: expected a string" name
+let enum name ~default values =
+  let+ s =
+    field name ~default ~canon:Fun.id (function
+      | Obs.Json.String s when List.mem_assoc s values -> s
+      | Obs.Json.String s ->
+          bad 400 "%s: unknown value %S (want one of %s)" name s
+            (String.concat ", " (List.map fst values))
+      | _ -> bad 400 "%s: expected a string" name)
+  in
+  List.assoc s values
 
-let string_field members name ~default =
-  match List.assoc_opt name members with
-  | None -> default
-  | Some (Obs.Json.String s) when s <> "" -> s
-  | Some _ -> bad 400 "%s: expected a non-empty string" name
+(* A catalog code the lookup decoder can hold.  Every such name is at most
+   5 characters ("17QCC", "REP30"), and checking that first keeps a name
+   like "SC99999999" from building a huge code only to reject it. *)
+let code_name name ~default =
+  let code s =
+    match if String.length s <= 5 then Codes.by_name s else raise Not_found with
+    | (c : Code.t) when c.Code.n <= Decoder_lookup.max_qubits -> c
+    | c ->
+        bad 400 "%s: %S has %d qubits, more than the lookup decoder's %d" name s
+          c.Code.n Decoder_lookup.max_qubits
+    | exception (Not_found | Invalid_argument _) ->
+        bad 400 "%s: unknown code name %S" name s
+  in
+  let+ _, c =
+    field name ~default:(default, code default) ~canon:fst (function
+      | Obs.Json.String s when s <> "" -> (s, code s)
+      | _ -> bad 400 "%s: expected a non-empty string" name)
+  in
+  c
 
-(* Common sampling parameters: every sampling kind carries the campaign
-   seed and a per-request shot budget (bounded — this is admission
-   control's first line, long before the queue limit). *)
-let sampling_fields members =
-  let shots = int_field members "shots" ~default:1024 ~lo:1 ~hi:1_000_000 in
-  let seed = int_field members "seed" ~default:1 ~lo:0 ~hi:max_int in
+(* ------------------------------------------------------------------ *)
+(* Query kinds, declared once: each is a spec of typed fields whose
+   result is the kind's computation.  The request codec, the computation,
+   and the `collect` campaigns all derive from this table — it is the one
+   place to add a kind or a field. *)
+
+(* Every sampling kind carries the campaign seed and a per-request shot
+   budget (bounded — this is admission control's first line, long before
+   the queue limit). *)
+let sampling =
+  let+ shots = int "shots" ~default:1024 ~lo:1 ~hi:1_000_000
+  and+ seed = int "seed" ~default:1 ~lo:0 ~hi:max_int in
   (shots, seed)
 
-let finish ~kind ~allowed members fields =
+let sample (shots, seed) task = Sample { task; shots; seed }
+let het_hom = [ ("het", `Het); ("hom", `Hom) ]
+
+let kinds : (string * job spec) list =
+  [ ( "threshold",
+      let+ distance = int "distance" ~default:3 ~lo:2 ~hi:25
+      and+ t_data =
+        float "t_data"
+          ~default:(Surface_circuit.default ~distance:3).Surface_circuit.t_data
+          ~lo:1e-9 ~hi:1.0
+      and+ sampling = sampling in
+      sample sampling (fun () ->
+          Surface_circuit.collect_task
+            { (Surface_circuit.default ~distance) with Surface_circuit.t_data }) );
+    ( "uec",
+      let+ code = code_name "code" ~default:"SC3"
+      and+ rounds = int "rounds" ~default:3 ~lo:1 ~hi:1000
+      and+ arch = enum "arch" ~default:"het" het_hom
+      and+ ts = float "ts" ~default:50e-3 ~lo:1e-9 ~hi:1e3
+      and+ sampling = sampling in
+      sample sampling (fun () ->
+          let arch = match arch with `Het -> Uec.Het { ts } | `Hom -> Uec.Hom in
+          Uec.collect_task arch code ~rounds) );
+    ( "distill",
+      let+ arch = enum "arch" ~default:"het" het_hom
+      and+ rate_hz = float "rate_hz" ~default:1e6 ~lo:1.0 ~hi:1e12
+      and+ horizon = float "horizon" ~default:100e-6 ~lo:1e-9 ~hi:1.0
+      and+ min_delivered = int "min_delivered" ~default:1 ~lo:1 ~hi:1000
+      and+ sampling = sampling in
+      sample sampling (fun () ->
+          let config =
+            match arch with
+            | `Het -> Distill_module.heterogeneous ~rate_hz ()
+            | `Hom -> Distill_module.homogeneous ~rate_hz ()
+          in
+          Distill_module.collect_task config ~horizon ~min_delivered) );
+    ( "dse",
+      let+ op =
+        enum "op" ~default:"load"
+          [ ("load", `Load);
+            ("retention", `Retention);
+            ("seq_cnots", `Seq_cnots);
+            ("stabilizer", `Stabilizer) ]
+      and+ alpha = float "alpha" ~default:1.0 ~lo:1e-3 ~hi:1e3
+      and+ dt = float "dt" ~default:10e-6 ~lo:1e-12 ~hi:1.0
+      and+ count = int "count" ~default:5 ~lo:1 ~hi:100
+      and+ weight = int "weight" ~default:4 ~lo:2 ~hi:8
+      and+ serialized = bool "serialized" ~default:true in
+      Characterize
+        (fun () ->
+          let base = Device.multimode_resonator_3d in
+          let storage =
+            Device.with_coherence base ~t1:(alpha *. base.Device.t1)
+              ~t2:(alpha *. base.Device.t2)
+          in
+          match op with
+          | `Load -> (Cell.register ~storage (), Characterize.Load)
+          | `Retention -> (Cell.register ~storage (), Characterize.Retention { dt })
+          | `Seq_cnots -> (Cell.seqop ~storage (), Characterize.Seq_cnots { count })
+          | `Stabilizer ->
+              (Cell.usc ~storage (), Characterize.Stabilizer { weight; serialized })) ) ]
+
+let check_names ~kind names members =
   List.iter
     (fun (k, _) ->
-      if k <> "kind" && not (List.mem k allowed) then
+      if k <> "kind" && not (List.mem k names) then
         bad 400 "unknown field %S for kind %s" k kind)
-    members;
-  let fields = List.sort (fun (a, _) (b, _) -> compare a b) fields in
-  { kind; fields; hash = request_hash ~kind ~fields }
-
-let parse_threshold members =
-  let distance = int_field members "distance" ~default:3 ~lo:2 ~hi:25 in
-  let default_t = (Surface_circuit.default ~distance).Surface_circuit.t_data in
-  let t_data =
-    float_field members "t_data" ~default:default_t ~lo:1e-9 ~hi:1.0
-  in
-  let shots, seed = sampling_fields members in
-  finish ~kind:"threshold"
-    ~allowed:[ "distance"; "t_data"; "shots"; "seed" ]
     members
-    [ ("distance", string_of_int distance);
-      ("t_data", canon_float t_data);
-      ("shots", string_of_int shots);
-      ("seed", string_of_int seed) ]
 
-let parse_uec members =
-  let code = string_field members "code" ~default:"SC3" in
-  (match Codes.by_name code with
-  | (_ : Code.t) -> ()
-  | exception Not_found -> bad 400 "code: unknown code name %S" code);
-  let rounds = int_field members "rounds" ~default:3 ~lo:1 ~hi:1000 in
-  let arch = enum_field members "arch" ~default:"het" ~values:[ "het"; "hom" ] in
-  let ts = float_field members "ts" ~default:50e-3 ~lo:1e-9 ~hi:1e3 in
-  let shots, seed = sampling_fields members in
-  finish ~kind:"uec"
-    ~allowed:[ "code"; "rounds"; "arch"; "ts"; "shots"; "seed" ]
-    members
-    [ ("code", code);
-      ("rounds", string_of_int rounds);
-      ("arch", arch);
-      ("ts", canon_float ts);
-      ("shots", string_of_int shots);
-      ("seed", string_of_int seed) ]
-
-let parse_distill members =
-  let arch = enum_field members "arch" ~default:"het" ~values:[ "het"; "hom" ] in
-  let rate_hz = float_field members "rate_hz" ~default:1e6 ~lo:1.0 ~hi:1e12 in
-  let horizon = float_field members "horizon" ~default:100e-6 ~lo:1e-9 ~hi:1.0 in
-  let min_delivered = int_field members "min_delivered" ~default:1 ~lo:0 ~hi:1000 in
-  let shots, seed = sampling_fields members in
-  finish ~kind:"distill"
-    ~allowed:[ "arch"; "rate_hz"; "horizon"; "min_delivered"; "shots"; "seed" ]
-    members
-    [ ("arch", arch);
-      ("rate_hz", canon_float rate_hz);
-      ("horizon", canon_float horizon);
-      ("min_delivered", string_of_int min_delivered);
-      ("shots", string_of_int shots);
-      ("seed", string_of_int seed) ]
-
-let parse_dse members =
-  let op =
-    enum_field members "op" ~default:"load"
-      ~values:[ "load"; "retention"; "seq_cnots"; "stabilizer" ]
-  in
-  let alpha = float_field members "alpha" ~default:1.0 ~lo:1e-3 ~hi:1e3 in
-  let dt = float_field members "dt" ~default:10e-6 ~lo:1e-12 ~hi:1.0 in
-  let count = int_field members "count" ~default:5 ~lo:1 ~hi:100 in
-  let weight = int_field members "weight" ~default:4 ~lo:2 ~hi:8 in
-  let serialized = bool_field members "serialized" ~default:true in
-  finish ~kind:"dse"
-    ~allowed:[ "op"; "alpha"; "dt"; "count"; "weight"; "serialized" ]
-    members
-    [ ("op", op);
-      ("alpha", canon_float alpha);
-      ("dt", canon_float dt);
-      ("count", string_of_int count);
-      ("weight", string_of_int weight);
-      ("serialized", canon_bool serialized) ]
-
-let parse_control ~kind ~ctl members =
-  ignore (finish ~kind ~allowed:[] members []);
-  Control ctl
+(* Decode a query's members against its kind's spec: field errors first,
+   in declaration order, then unknown fields. *)
+let decode ~kind spec members =
+  let canon = ref [] in
+  let job = spec.read members canon in
+  check_names ~kind spec.names members;
+  let fields = List.sort (fun (a, _) (b, _) -> compare a b) !canon in
+  { kind; fields; hash = request_hash ~kind ~fields; job }
 
 let parse_request line =
   try
@@ -197,18 +247,57 @@ let parse_request line =
       | Some _ -> bad 400 "kind must be a string"
       | None -> bad 400 "missing field \"kind\""
     in
+    let control ctl =
+      check_names ~kind [] members;
+      Control ctl
+    in
     Ok
       (match kind with
-      | "ping" -> parse_control ~kind ~ctl:Ping members
-      | "stats" -> parse_control ~kind ~ctl:Stats members
-      | "shutdown" -> parse_control ~kind ~ctl:Shutdown members
-      | "threshold" -> Query (parse_threshold members)
-      | "uec" -> Query (parse_uec members)
-      | "distill" -> Query (parse_distill members)
-      | "dse" -> Query (parse_dse members)
-      | k -> bad 404 "unknown query kind %S" k)
+      | "ping" -> control Ping
+      | "stats" -> control Stats
+      | "shutdown" -> control Shutdown
+      | k -> (
+          match List.assoc_opt k kinds with
+          | Some spec -> Query (decode ~kind spec members)
+          | None -> bad 404 "unknown query kind %S" k))
   with Bad e -> Error e
 
+(* ------------------------------------------------------------------ *)
+(* Campaigns: `hetarch collect` runs grids of request fields through the
+   same kinds, so every campaign task is a serve request with the rest of
+   its fields at their defaults (and answers with the same task id).
+   Kept small enough for CI yet large enough that adaptive stopping
+   visibly saves shots: the cheap low-distance points hit --rel-ci early,
+   the rare-event d=7 points run to --max-shots. *)
+
+let campaigns =
+  let open Obs.Json in
+  [ ( "threshold",
+      (* d = 3/5/7 surface-code memory at two data coherences *)
+      List.concat_map
+        (fun t ->
+          List.map (fun d -> [ ("distance", Int d); ("t_data", Float t) ]) [ 3; 5; 7 ])
+        [ 1e-4; 5e-4 ] );
+    ( "uec",
+      (* het (Ts = 50 ms) vs hom for the three small paper codes *)
+      List.concat_map
+        (fun c -> [ [ ("code", String c) ]; [ ("code", String c); ("arch", String "hom") ] ])
+        [ "SHOR"; "ST"; "17QCC" ] );
+    ( "distill",
+      (* probability of delivering no target-fidelity pair in 100 us *)
+      [ []; [ ("arch", String "hom") ] ] ) ]
+
+let campaign name =
+  let tasks kind =
+    List.map
+      (fun members ->
+        match (decode ~kind (List.assoc kind kinds) members).job with
+        | Sample { task; _ } -> task ()
+        | Characterize _ -> invalid_arg "Serve.campaign: not a sampling kind")
+      (List.assoc kind campaigns)
+  in
+  if name = "all" then List.concat_map (fun (kind, _) -> tasks kind) campaigns
+  else tasks name
 (* ------------------------------------------------------------------ *)
 (* Response rendering                                                 *)
 
@@ -275,49 +364,12 @@ let stats_body () =
                  ("busy_domains", Int busy_domains) ] ) ]))
 
 (* ------------------------------------------------------------------ *)
-(* Computation: normalized fields -> deterministic response body      *)
-
-let field q name =
-  (* normalization guarantees presence; a miss here is a codec bug *)
-  match List.assoc_opt name q.fields with
-  | Some v -> v
-  | None -> invalid_arg ("Serve: missing normalized field " ^ name)
-
-let ifield q name = int_of_string (field q name)
-let ffield q name = float_of_string (field q name)
-
-let sampling_task q =
-  match q.kind with
-  | "threshold" ->
-      let distance = ifield q "distance" in
-      Surface_circuit.collect_task
-        { (Surface_circuit.default ~distance) with
-          Surface_circuit.t_data = ffield q "t_data" }
-  | "uec" ->
-      let arch =
-        match field q "arch" with
-        | "het" -> Uec.Het { ts = ffield q "ts" }
-        | _ -> Uec.Hom
-      in
-      Uec.collect_task arch (Codes.by_name (field q "code"))
-        ~rounds:(ifield q "rounds")
-  | "distill" ->
-      let rate_hz = ffield q "rate_hz" in
-      let config =
-        match field q "arch" with
-        | "het" -> Distill_module.heterogeneous ~rate_hz ()
-        | _ -> Distill_module.homogeneous ~rate_hz ()
-      in
-      Distill_module.collect_task config ~horizon:(ffield q "horizon")
-        ~min_delivered:(ifield q "min_delivered")
-  | k -> invalid_arg ("Serve: not a sampling kind: " ^ k)
+(* Computation: a query's job -> deterministic response body          *)
 
 let params_json q =
   Obs.Json.Obj (List.map (fun (k, v) -> (k, Obs.Json.String v)) q.fields)
 
-let sampling_body q =
-  let task = sampling_task q in
-  let shots = ifield q "shots" and seed = ifield q "seed" in
+let sampling_body q task ~shots ~seed =
   let errors =
     Collect.Task.sample task
       (Collect.batch_rng ~seed ~id:(Collect.Task.id task) ~index:0)
@@ -340,26 +392,7 @@ let sampling_body q =
            ("wilson_lo", Float lo);
            ("wilson_hi", Float hi) ]))
 
-let dse_body q =
-  let alpha = ffield q "alpha" in
-  let base = Device.multimode_resonator_3d in
-  let storage =
-    Device.with_coherence base ~t1:(alpha *. base.Device.t1)
-      ~t2:(alpha *. base.Device.t2)
-  in
-  let cell, op =
-    match field q "op" with
-    | "load" -> (Cell.register ~storage (), Characterize.Load)
-    | "retention" ->
-        (Cell.register ~storage (), Characterize.Retention { dt = ffield q "dt" })
-    | "seq_cnots" ->
-        (Cell.seqop ~storage (), Characterize.Seq_cnots { count = ifield q "count" })
-    | _ ->
-        ( Cell.usc ~storage (),
-          Characterize.Stabilizer
-            { weight = ifield q "weight";
-              serialized = bool_of_string (field q "serialized") } )
-  in
+let dse_body q (cell, op) =
   let memo = Char_store.memo () in
   let perf = (Characterize.characterize_op ~memo cell op).Characterize.perf in
   Obs.Json.(
@@ -373,7 +406,9 @@ let dse_body q =
            ("error", Float perf.Characterize.error) ]))
 
 let compute_answer q =
-  match q.kind with "dse" -> dse_body q | _ -> sampling_body q
+  match q.job with
+  | Sample { task; shots; seed } -> sampling_body q (task ()) ~shots ~seed
+  | Characterize cell_op -> dse_body q (cell_op ())
 
 (* ------------------------------------------------------------------ *)
 (* Warm response tiers: process memory, then the ambient persistent

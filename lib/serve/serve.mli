@@ -36,7 +36,17 @@ val max_request_bytes : int
     with a 413-style error; a connection that streams past the bound
     without a newline is answered and closed. *)
 
-(** {1 Request codec} *)
+(** {1 Request codec}
+
+    Each query kind is declared once, as a spec of typed fields (name,
+    default, bounds, canonical rendering) whose result is the kind's
+    computation.  The codec, {!compute_answer}, and {!campaign} all derive
+    from that table. *)
+
+type job
+(** What a query computes: a {!Collect.Task.t} for the sampling kinds, a
+    cell and operation to characterize for [dse].  Built on demand, so
+    parsing (the warm path) never constructs it. *)
 
 type query = {
   kind : string;  (** validated query kind *)
@@ -44,6 +54,7 @@ type query = {
       (** normalized parameters: every field present (defaults filled),
           sorted by key, numbers in canonical rendering *)
   hash : string;  (** 16-hex request identity over [kind] and [fields] *)
+  job : job;
 }
 
 type control = Ping | Stats | Shutdown
@@ -63,6 +74,13 @@ val parse_request : string -> (request, error) result
 (** Parse and normalize one request line.  Never raises: malformed JSON,
     non-object bodies, unknown kinds, unknown fields, wrong types, and
     out-of-range values all come back as structured [Error]s. *)
+
+val campaign : string -> Collect.Task.t list
+(** The tasks of a named [hetarch collect] campaign ([threshold], [uec],
+    [distill], or [all] for the three in that order).  Each campaign is a
+    grid of request fields decoded through the query kinds, so every task
+    is the one a serve request with the same fields answers.  Raises
+    [Not_found] for an unknown name. *)
 
 val error_body : error -> string
 (** One-line JSON rendering of an error response. *)

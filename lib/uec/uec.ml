@@ -57,17 +57,16 @@ let round_time_of p assignment stabs =
   Array.fold_left (fun acc s -> acc +. stab_time p assignment s) 0. stabs
 
 (* Data-to-register assignment: brute force over balanced 2-register splits
-   for n <= 20, greedy alternation beyond.  Results are memoized per
-   (code, capacity, timing) — the DSE cache pattern: the assignment depends
-   only on the schedule geometry, not on coherence times, so every Ts sweep
-   point reuses it. *)
-let assignment_memo : (string, int array) Hashtbl.t = Hashtbl.create 16
-let assignment_memo_lock = Mutex.create ()
+   for n <= 20, greedy alternation beyond.  The assignment depends only on
+   the schedule geometry (code, capacity, timing), not on coherence times,
+   so every Ts sweep point reuses it through a Dse.Cache over the ambient
+   characterization store. *)
+let registers_for p n = max 2 ((n + p.register_capacity - 1) / p.register_capacity)
 
 let compute_assignment p (code : Code.t) =
   let n = code.Code.n in
   let cap = p.register_capacity in
-  let registers = max 2 ((n + cap - 1) / cap) in
+  let registers = registers_for p n in
   let stabs = all_stabs code in
   if registers > 2 || n > 20 then begin
     (* Greedy: alternate qubits across registers in index order. *)
@@ -97,25 +96,39 @@ let compute_assignment p (code : Code.t) =
     | None -> invalid_arg "Uec.optimize_assignment: code does not fit the registers"
   end
 
+let assignment_cache : int array Cache.t = Cache.create ()
+
+(* Comma-separated register indices; a wrong length or an index outside
+   the code's registers reads as a miss. *)
+let assignment_codec ~n ~registers =
+  { Cache.encode = (fun a -> String.concat "," (List.map string_of_int (Array.to_list a)));
+    decode =
+      (fun s ->
+        let a = Array.of_list (List.map int_of_string_opt (String.split_on_char ',' s)) in
+        if
+          Array.length a = n
+          && Array.for_all (function Some r -> r >= 0 && r < registers | None -> false) a
+        then Some (Array.map Option.get a)
+        else None) }
+
 let optimize_assignment p (code : Code.t) =
-  let memo_key =
-    Printf.sprintf "%s/%d/%g/%g/%g" code.Code.name p.register_capacity p.t_swap
-      p.t_2q p.t_readout
+  let g = Printf.sprintf "%.17g" in
+  let key =
+    Store.key ~kind:"uec.assignment"
+      ~fields:
+        [ ("code", code.Code.name);
+          ("register_capacity", string_of_int p.register_capacity);
+          ("t_swap", g p.t_swap);
+          ("t_2q", g p.t_2q);
+          ("t_readout", g p.t_readout) ]
   in
-  let cached =
-    Mutex.protect assignment_memo_lock (fun () ->
-        Hashtbl.find_opt assignment_memo memo_key)
-  in
-  match cached with
-  | Some a -> Array.copy a
-  | None ->
-      (* Computed outside the lock: brute force can take a while, and a
-         duplicate computation by a racing domain is idempotent. *)
-      let a = compute_assignment p code in
-      Mutex.protect assignment_memo_lock (fun () ->
-          if not (Hashtbl.mem assignment_memo memo_key) then
-            Hashtbl.add assignment_memo memo_key (Array.copy a));
-      a
+  let codec = assignment_codec ~n:code.Code.n ~registers:(registers_for p code.Code.n) in
+  let disk = Option.map (fun s -> (s, codec)) (Char_store.store ()) in
+  (* dim 0: an assignment search is no density-matrix simulation, so it
+     adds nothing to the burden accounting. *)
+  Array.copy
+    (Cache.find_or_compute ?disk assignment_cache ~key ~dim:0 (fun () ->
+         compute_assignment p code))
 
 let meas_flip_of p supp = 1. -. ((1. -. (8. /. 15. *. p.p2)) ** float_of_int (Array.length supp))
 

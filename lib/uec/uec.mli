@@ -79,6 +79,12 @@ val collect_task : ?params:params -> arch -> Code.t -> rounds:int -> Collect.Tas
     batch.  Recorded errors are {e per-shot} failures; convert merged stats
     with {!per_round_rate}. *)
 
+val assignment_cache : int array Cache.t
+(** Memory tier of the register-assignment memo behind {!profile}: kind
+    ["uec.assignment"] keyed by code, register capacity, and the swap,
+    gate, and readout times, backed by the ambient {!Char_store} store, so
+    the brute-force search also survives restarts under [--cache-dir]. *)
+
 val round_time_with_registers : ?params:params -> Code.t -> registers:int -> float
 (** Ablation: serialized round duration with a single shared register (no
     swap pipelining) or with the optimized two-register USC assignment. *)

@@ -378,9 +378,9 @@ let test_match_decoder_on_surface_code () =
   let exp = Surface_circuit.build { (Surface_circuit.default ~distance:3) with p2 = 2e-3 } in
   let dem = Dem.of_circuit exp.Surface_circuit.circuit in
   let m =
-    Decoder_match.of_dem
+    Decoder_match.create
       ~nodes:(Array.length exp.Surface_circuit.circuit.Circuit.detectors)
-      dem
+      ~edges:(Dem_graph.edges dem)
   in
   let rate =
     Frame.logical_error_rate exp.Surface_circuit.circuit (Rng.create 41) ~shots:400

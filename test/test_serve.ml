@@ -33,6 +33,16 @@ let test_codec_errors () =
     (code "{\"kind\":\"threshold\",\"distance\":99}");
   Alcotest.(check int) "unknown code name" 400
     (code "{\"kind\":\"uec\",\"code\":\"NOPE\"}");
+  (* bounds are the constructors' own: each of these used to pass the
+     codec and fail (or crash) in the computation *)
+  Alcotest.(check int) "no delivery required" 400
+    (code "{\"kind\":\"distill\",\"min_delivered\":0}");
+  Alcotest.(check int) "code the catalog cannot build" 400
+    (code "{\"kind\":\"uec\",\"code\":\"SC1\"}");
+  Alcotest.(check int) "code too large for the lookup decoder" 400
+    (code "{\"kind\":\"uec\",\"code\":\"SC6\"}");
+  Alcotest.(check int) "absurd code size" 400
+    (code "{\"kind\":\"uec\",\"code\":\"SC99999999\"}");
   Alcotest.(check int) "control kind with stray field" 400
     (code "{\"kind\":\"ping\",\"x\":1}");
   let oversized =
@@ -63,6 +73,25 @@ let test_pinned_hashes () =
       ("{\"kind\":\"dse\"}", "4c5ff39bcead6a4c");
       ("{\"kind\":\"uec\",\"shots\":16}", "344c5ba2d5a97e4b");
       ("{\"kind\":\"distill\",\"shots\":16}", "3245442b42eda244") ]
+
+let test_pinned_bodies () =
+  (* Full response bodies of the hash vectors: they guard the params
+     rendering and the numbers, which the hashes alone do not cover. *)
+  List.iter
+    (fun (line, expect) ->
+      Alcotest.(check string) line expect (Serve.compute_answer (parse_query line)))
+    [ ( "{\"kind\":\"threshold\",\"shots\":16,\"seed\":1}",
+        {|{"schema":"hetarch.serve/1","kind":"threshold","request":"7b1a24fa9b5a045b","task":"891a9346d071020f","params":{"distance":"3","seed":"1","shots":"16","t_data":"0.0001"},"shots":16,"errors":0,"rate":0.0,"wilson_lo":0.0,"wilson_hi":0.19361341827271994}|}
+      );
+      ( "{\"kind\":\"dse\"}",
+        {|{"schema":"hetarch.serve/1","kind":"dse","request":"4c5ff39bcead6a4c","params":{"alpha":"1","count":"5","dt":"1.0000000000000001e-05","op":"load","serialized":"true","weight":"4"},"duration_s":3.9999999999999998e-07,"error":0.010687327169137006}|}
+      );
+      ( "{\"kind\":\"uec\",\"shots\":16}",
+        {|{"schema":"hetarch.serve/1","kind":"uec","request":"344c5ba2d5a97e4b","task":"27cea5f1453654c1","params":{"arch":"het","code":"SC3","rounds":"3","seed":"1","shots":"16","ts":"0.050000000000000003"},"shots":16,"errors":3,"rate":0.1875,"wilson_lo":0.065914787735867647,"wilson_hi":0.4300935986845823}|}
+      );
+      ( "{\"kind\":\"distill\",\"shots\":16}",
+        {|{"schema":"hetarch.serve/1","kind":"distill","request":"3245442b42eda244","task":"5dddd4be658781c7","params":{"arch":"het","horizon":"0.0001","min_delivered":"1","rate_hz":"1000000","seed":"1","shots":"16"},"shots":16,"errors":0,"rate":0.0,"wilson_lo":0.0,"wilson_hi":0.19361341827271994}|}
+      ) ]
 
 let test_normalization () =
   let h line = (parse_query line).Serve.hash in
@@ -117,6 +146,43 @@ let test_answer_matches_campaign_stream () =
     (match Obs.Json.member "task" body with
     | Some (Obs.Json.String s) -> s
     | _ -> "")
+
+let test_campaign_ids () =
+  (* Ledger compatibility: the `collect all` task ids, in order, and each is
+     the task a serve request with the same fields answers. *)
+  let pinned =
+    [ ({|"distance":3|}, "891a9346d071020f");
+      ({|"distance":5|}, "e36a89931a827cd9");
+      ({|"distance":7|}, "24dc8a6d9329a371");
+      ({|"distance":3,"t_data":5e-4|}, "a26939afeabbdbff");
+      ({|"distance":5,"t_data":5e-4|}, "b57fe9188c4be95f");
+      ({|"distance":7,"t_data":5e-4|}, "6caa7edd24ec9622");
+      ({|"code":"SHOR"|}, "b5ea156429f1eef4");
+      ({|"code":"SHOR","arch":"hom"|}, "7ec767f7234e9ff6");
+      ({|"code":"ST"|}, "93551e068e455a06");
+      ({|"code":"ST","arch":"hom"|}, "f51f4d005e63621f");
+      ({|"code":"17QCC"|}, "598067c5c7f82110");
+      ({|"code":"17QCC","arch":"hom"|}, "c458f712ab1d2b0a");
+      ("", "5dddd4be658781c7");
+      ({|"arch":"hom"|}, "2791c46205b724f8") ]
+  in
+  Alcotest.(check (list string)) "collect all task ids" (List.map snd pinned)
+    (List.map Collect.Task.id (Serve.campaign "all"));
+  List.iteri
+    (fun i (fields, id) ->
+      let kind = if i < 6 then "threshold" else if i < 12 then "uec" else "distill" in
+      let line =
+        Printf.sprintf {|{"kind":"%s","shots":1%s}|} kind
+          (if fields = "" then "" else "," ^ fields)
+      in
+      let body = Obs.Json.parse (Serve.compute_answer (parse_query line)) in
+      Alcotest.(check (option string)) line (Some id)
+        (match Obs.Json.member "task" body with
+        | Some (Obs.Json.String s) -> Some s
+        | _ -> None))
+    pinned;
+  Alcotest.check_raises "unknown campaign" Not_found (fun () ->
+      ignore (Serve.campaign "nope"))
 
 (* ------------------------------------------------- live daemon tests *)
 
@@ -177,20 +243,29 @@ let send_all fd s =
     off := !off + Unix.write fd b !off (n - !off)
   done
 
-let recv_line fd =
+(* Response lines from one connection.  Bytes past the first newline stay
+   buffered for the next call: pipelined responses often arrive in one
+   read, and dropping the tail would leave the next read blocked forever. *)
+let line_reader fd =
   let buf = Buffer.create 256 in
   let chunk = Bytes.create 1024 in
-  let rec go () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> Alcotest.fail "connection closed before a response line"
-    | n -> (
-        Buffer.add_subbytes buf chunk 0 n;
-        let s = Buffer.contents buf in
-        match String.index_opt s '\n' with
-        | Some i -> String.sub s 0 i
-        | None -> go ())
+  let rec next () =
+    let s = Buffer.contents buf in
+    match String.index_opt s '\n' with
+    | Some i ->
+        Buffer.clear buf;
+        Buffer.add_substring buf s (i + 1) (String.length s - i - 1);
+        String.sub s 0 i
+    | None -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> Alcotest.fail "connection closed before a response line"
+        | n ->
+            Buffer.add_subbytes buf chunk 0 n;
+            next ())
   in
-  go ()
+  next
+
+let recv_line fd = line_reader fd ()
 
 let test_split_reads_and_pipelining () =
   with_tmp_dir (fun dir ->
@@ -215,8 +290,9 @@ let test_split_reads_and_pipelining () =
              on a single connection *)
           let fd = connect_unix socket in
           send_all fd (line ^ "{\"kind\":\"ping\"}\n");
-          let whole_resp = recv_line fd in
-          let pong = recv_line fd in
+          let recv = line_reader fd in
+          let whole_resp = recv () in
+          let pong = recv () in
           Unix.close fd;
           Alcotest.(check string)
             "split delivery and whole delivery answer byte-identically"
@@ -279,12 +355,14 @@ let () =
         [ Alcotest.test_case "structured errors" `Quick test_codec_errors;
           Alcotest.test_case "pinned request-hash vectors" `Quick
             test_pinned_hashes;
+          Alcotest.test_case "pinned response bodies" `Quick test_pinned_bodies;
           Alcotest.test_case "normalization" `Quick test_normalization ] );
       ( "answers",
         [ Alcotest.test_case "byte identity across --jobs and tiers" `Quick
             test_answer_bytes_jobs_invariant;
           Alcotest.test_case "matches campaign batch stream" `Quick
-            test_answer_matches_campaign_stream ] );
+            test_answer_matches_campaign_stream;
+          Alcotest.test_case "pinned campaign task ids" `Quick test_campaign_ids ] );
       ( "daemon",
         [ Alcotest.test_case "split reads, pipelining, oversized" `Quick
             test_split_reads_and_pipelining;

@@ -224,6 +224,63 @@ let test_schedule_render_and_csv () =
     (List.length s.Schedule.ops + 1)
     (List.length (String.split_on_char '\n' csv))
 
+(* The assignment memo is a Dse.Cache over the ambient store: a cold
+   search writes back, a reset memory tier reads it from disk identical,
+   and a malformed entry degrades to a recomputed miss. *)
+let test_assignment_from_store () =
+  let dir = Filename.temp_file "hetarch_uec_store" "" in
+  Sys.remove dir;
+  let rec rm_rf path =
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
+      let store = Store.open_dir dir in
+      Char_store.with_store store (fun () ->
+          let cache = Uec.assignment_cache in
+          let code = Codes.color_17 in
+          let assignment ?params () =
+            (Uec.profile ?params (Uec.Het { ts = 10e-3 }) code).Uec.assignment
+          in
+          Cache.reset cache;
+          let cold = assignment () in
+          Alcotest.(check int) "cold search" 1 (Cache.misses cache);
+          Cache.reset cache;
+          let warm = assignment () in
+          Alcotest.(check (pair int int)) "read back from disk, no search" (1, 0)
+            (Cache.disk_hits cache, Cache.misses cache);
+          Alcotest.(check (array int)) "disk assignment identical" cold warm;
+          let p = Uec.default_params in
+          let g = Printf.sprintf "%.17g" in
+          let key =
+            Store.key ~kind:"uec.assignment"
+              ~fields:
+                [ ("code", code.Code.name);
+                  ("register_capacity", string_of_int p.Uec.register_capacity);
+                  ("t_swap", g p.Uec.t_swap);
+                  ("t_2q", g p.Uec.t_2q);
+                  ("t_readout", g p.Uec.t_readout) ]
+          in
+          List.iter
+            (fun (what, payload) ->
+              Store.put store key payload;
+              Cache.reset cache;
+              let again = assignment () in
+              Alcotest.(check int) (what ^ " reads as a miss") 1 (Cache.misses cache);
+              Alcotest.(check (array int)) (what ^ ": recomputed identical") cold again)
+            [ ("wrong length", "0,1,0");
+              ("out of range", String.concat "," (List.init code.Code.n (fun _ -> "2")));
+              ("not numbers", String.make code.Code.n 'x') ];
+          (* the key keeps every digit: a swap time 1e-7 apart in relative
+             terms is a different search, not a %g-rounded hit *)
+          Cache.reset cache;
+          ignore (assignment ());
+          ignore (assignment ~params:{ p with Uec.t_swap = p.Uec.t_swap *. (1. +. 1e-7) } ());
+          Alcotest.(check int) "distinct keys past 6 digits" 1 (Cache.misses cache)))
+
 let () =
   Alcotest.run "uec"
     [ ( "profiles",
@@ -231,7 +288,8 @@ let () =
           Alcotest.test_case "register capacity" `Quick test_het_respects_register_capacity;
           Alcotest.test_case "hom planar round" `Quick test_hom_planar_fast_round;
           Alcotest.test_case "hom routing cost" `Quick test_hom_nonplanar_pays_routing;
-          Alcotest.test_case "gate counts" `Quick test_gate_counts_het ] );
+          Alcotest.test_case "gate counts" `Quick test_gate_counts_het;
+          Alcotest.test_case "assignment from store" `Quick test_assignment_from_store ] );
       ( "monte carlo",
         [ Alcotest.test_case "zero noise" `Quick test_logical_rate_zero_noise;
           Alcotest.test_case "monotone in p2" `Slow test_logical_rate_monotone_in_p2;
